@@ -16,6 +16,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/liveproxy/ ./internal/validate/
+	$(GO) test -race -count=200 -run TestLiveServerPush ./internal/liveproxy/
 
 # Static enforcement of the simulator's determinism, seeded-RNG and
 # pool-discipline invariants (TESTING.md, "Layer 0"). Runs the suite

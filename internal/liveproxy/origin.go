@@ -48,7 +48,9 @@ func StartOrigin(addr string) (*Origin, error) {
 // Addr returns the listening address.
 func (o *Origin) Addr() string { return o.ln.Addr().String() }
 
-// Served returns the number of requests answered.
+// Served returns the number of requests parsed. A request is counted
+// before its response is written, so a client holding a response always
+// sees it counted.
 func (o *Origin) Served() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -81,13 +83,16 @@ func (o *Origin) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		// Count before writing: once the response is on the wire the
+		// client may read it and ask Served() before this goroutine runs
+		// again.
+		o.mu.Lock()
+		o.served++
+		o.mu.Unlock()
 		resp := o.respond(req)
 		if _, err := conn.Write(resp.Marshal()); err != nil {
 			return
 		}
-		o.mu.Lock()
-		o.served++
-		o.mu.Unlock()
 		if strings.EqualFold(req.Headers["Connection"], "close") {
 			return
 		}

@@ -645,6 +645,11 @@ func (c *Conn) pktsInFlight() int {
 // windows allow. Segments marked lost by a timeout are retransmitted
 // first, paced by the (slow-starting) window — Linux's loss recovery —
 // then new data follows.
+//
+// The packets-in-flight count is taken at most once per call, and only
+// when something may be sent, so a call costs one pass over the flight.
+// It is then kept current by hand: each retransmission un-marks one lost
+// segment and each new segment joins the flight, so both add exactly one.
 func (c *Conn) trySend() {
 	if c.state != stEstablished && c.state != stClosing {
 		return
@@ -653,10 +658,16 @@ func (c *Conn) trySend() {
 	// The F-RTO window (exactly one ACK since the timeout) holds this
 	// back: if the timeout was spurious, the very next ACK will cover an
 	// original transmission and cancel the loss marks entirely.
-	if (c.caState == caLoss && c.lossAcks != 1) || c.caState == caRecovery {
+	recovering := (c.caState == caLoss && c.lossAcks != 1) || c.caState == caRecovery
+	counted := recovering || c.sendQueue > 0
+	inFlight := 0
+	if counted {
+		inFlight = c.pktsInFlight()
+	}
+	if recovering {
 		fl := c.infl()
 		for i := range fl {
-			if float64(c.pktsInFlight()) >= c.cwnd {
+			if float64(inFlight) >= c.cwnd {
 				break
 			}
 			if !fl[i].lost || fl[i].sacked {
@@ -666,13 +677,17 @@ func (c *Conn) trySend() {
 			fl[i].lost = false
 			fl[i].retx = true
 			fl[i].sentAt = c.loop.Now()
+			inFlight++
 			c.retransmitSeg(&fl[i])
 			c.noteRetransmit(cause)
+		}
+		if invOn {
+			c.checkPktsInFlight("trySend/retransmit", inFlight)
 		}
 	}
 	c.wasCwndLimited = false
 	for c.sendQueue > 0 {
-		if float64(c.pktsInFlight()) >= c.cwnd {
+		if float64(inFlight) >= c.cwnd {
 			c.wasCwndLimited = true
 			break
 		}
@@ -694,6 +709,7 @@ func (c *Conn) trySend() {
 		c.sndNxt += uint64(payload)
 		c.sendQueue -= payload
 		c.pushInflight(sentSeg{seq: seg.Seq, len: payload, sentAt: c.loop.Now()})
+		inFlight++
 		c.ackPiggybacked()
 		c.transmit(seg)
 		c.lastDataSend = c.loop.Now()
@@ -702,6 +718,9 @@ func (c *Conn) trySend() {
 		if !c.rtoTimer.Pending() {
 			c.armRTO()
 		}
+	}
+	if invOn && counted {
+		c.checkPktsInFlight("trySend/new", inFlight)
 	}
 	c.maybeArmTLP()
 	c.fireWritable()

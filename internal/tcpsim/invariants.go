@@ -146,6 +146,15 @@ func (c *Conn) checkSender(where string) {
 	checkRTT(c, &c.rtt, where)
 }
 
+// checkPktsInFlight asserts that trySend's running packets-in-flight
+// count, taken once and advanced per transmission, still equals
+// a recount of the deque.
+func (c *Conn) checkPktsInFlight(where string, counted int) {
+	if n := c.pktsInFlight(); n != counted {
+		c.violateConn("pkts-in-flight", "%s: running count %d, deque holds %d", where, counted, n)
+	}
+}
+
 // checkNotCoalesced asserts that a loss-repair path is not being entered
 // on the strength of an ACK the peer's delayed-ACK timer released. A
 // timer release can never legitimately be the deciding duplicate: every

@@ -114,6 +114,30 @@ func TestInvariantCatchesInflightCorruption(t *testing.T) {
 	}
 }
 
+// TestInvariantCatchesPktsInFlightDrift asserts the audit of trySend's
+// running packets-in-flight count reports a count that disagrees with
+// the deque. trySend keeps the count in a local, so the drift is forged
+// at the check itself.
+func TestInvariantCatchesPktsInFlightDrift(t *testing.T) {
+	got := captureViolations(t)
+	w, _, server := establishedPair(t, 17)
+
+	server.Write(20 * 1380)
+	w.loop.Run(w.loop.Now().Add(25 * time.Millisecond))
+	n := server.pktsInFlight()
+	if n == 0 {
+		t.Fatal("no flight to count")
+	}
+	server.checkPktsInFlight("forged", n)
+	if len(*got) != 0 {
+		t.Fatalf("correct count reported: %s", rules(*got))
+	}
+	server.checkPktsInFlight("forged", n-1)
+	if rules(*got) != "pkts-in-flight;" {
+		t.Fatalf("drifted count not caught; violations: %s", rules(*got))
+	}
+}
+
 // TestInvariantCatchesCoalescedDupAck forges the situation RFC 5681
 // §4.2 forbids — a third duplicate ACK that the receiver's delayed-ACK
 // timer released — and asserts the fast-retransmit entry point refuses
@@ -154,11 +178,24 @@ func TestInvariantCatchesCoalescedDupAck(t *testing.T) {
 // TestInvariantsSilentOnImpairedTransfer runs a hostile link — bursty
 // loss, reordering, duplication, a shallow queue — and asserts the
 // checker stays silent: impairments must surface as protocol events
-// (retransmits, DSACKs), never as state corruption.
+// (retransmits, DSACKs), never as state corruption. It runs once with
+// the default stack and once with TLP, RACK and F-RTO all on, so every
+// recovery path that drains the marked-lost backlog is audited.
 func TestInvariantsSilentOnImpairedTransfer(t *testing.T) {
 	if !InvariantsEnabled() {
 		t.Fatal("invariants not armed by TestMain")
 	}
+	fixes := DefaultConfig()
+	fixes.TLP, fixes.RACK, fixes.FRTO = true, true, true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"tlp+rack+frto", fixes}} {
+		t.Run(tc.name, func(t *testing.T) { impairedTransfer(t, tc.cfg) })
+	}
+}
+
+func impairedTransfer(t *testing.T, ccfg Config) {
 	loop := sim.NewLoop()
 	cfg := netem.PathConfig{
 		Up: netem.LinkConfig{
@@ -177,7 +214,7 @@ func TestInvariantsSilentOnImpairedTransfer(t *testing.T) {
 	})
 	path := netem.NewPath(loop, cfg, sim.NewRNG(99), nil)
 	nw := NewNetwork(loop, path)
-	client, server := nw.NewConnPair(DefaultConfig(), DefaultConfig(), "imp", "d")
+	client, server := nw.NewConnPair(ccfg, ccfg, "imp", "d")
 	done := false
 	var asm StreamAssembler
 	const total = 300 << 10

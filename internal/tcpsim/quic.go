@@ -663,12 +663,28 @@ func (q *QUICConn) becomeEstablished() {
 // records, sample RTT on the largest, detect spurious retransmissions,
 // then run packet-threshold loss detection.
 func (q *QUICConn) handleAck(p *QUICPacket) {
+	newlyAcked, largestNew := q.resolveAcked(p)
+	q.applyAck(p, newlyAcked, largestNew)
+}
+
+// resolveAcked marks every flight record the ACK covers and reports how
+// many were newly acknowledged and the largest of them. The flight and
+// p.AckRanges both ascend, so one merge-walk resolves them in
+// O(flight + ranges): r skips ranges that end below the record's PN,
+// and the walk stops once the flight passes the last range.
+func (q *QUICConn) resolveAcked(p *QUICPacket) (newlyAcked int, largestNew *qSent) {
 	fl := q.flight()
-	newlyAcked := 0
-	var largestNew *qSent
+	ranges := p.AckRanges
+	r := 0
 	for i := range fl {
 		e := &fl[i]
-		if e.acked || !ackRangesContain(p, e.pn) {
+		for r < len(ranges) && ranges[r][1] < e.pn {
+			r++
+		}
+		if r == len(ranges) {
+			break
+		}
+		if e.acked || e.pn < ranges[r][0] {
 			continue
 		}
 		if e.lost {
@@ -689,9 +705,16 @@ func (q *QUICConn) handleAck(p *QUICPacket) {
 		if e.hasOrig {
 			q.resolveOriginal(e.origPN)
 		} else {
-			q.checkSpuriousProbe(e.pn, fl)
+			q.checkSpuriousProbe(e.pn, fl[i+1:])
 		}
 	}
+	return newlyAcked, largestNew
+}
+
+// applyAck runs the rest of ACK processing once the covered records are
+// resolved: RTT sampling, window growth, loss detection and the next
+// send.
+func (q *QUICConn) applyAck(p *QUICPacket, newlyAcked int, largestNew *qSent) {
 	if newlyAcked == 0 {
 		q.compactFlight()
 		return
@@ -759,7 +782,9 @@ func (q *QUICConn) resolveOriginal(pn uint64) {
 
 // checkSpuriousProbe detects the PTO analogue of a spurious timeout:
 // the original packet was acknowledged while an un-acked probe copy of
-// its data is still in flight — the probe was unnecessary.
+// its data is still in flight — the probe was unnecessary. fl need only
+// hold the records after the original's: a copy always carries a fresh
+// PN, above every PN already in flight.
 func (q *QUICConn) checkSpuriousProbe(pn uint64, fl []qSent) {
 	for i := range fl {
 		r := &fl[i]
@@ -803,19 +828,15 @@ func (q *QUICConn) detectLosses() {
 	}
 }
 
+// ackedRetxOf reports whether an acknowledged copy of packet pn's data
+// is in flight. A copy's PN is above pn and the flight is PN-ordered, so
+// only the tail above pn is scanned. The scan reads the live flight, not
+// a caller's view of it: detectLosses holds a view that its own
+// retransmissions can shift when pushSent compacts the deque.
 func (q *QUICConn) ackedRetxOf(pn uint64) bool {
 	fl := q.flight()
-	for i := range fl {
+	for i := len(fl) - 1; i >= 0 && fl[i].pn > pn; i-- {
 		if fl[i].hasOrig && fl[i].origPN == pn && fl[i].acked {
-			return true
-		}
-	}
-	return false
-}
-
-func ackRangesContain(p *QUICPacket, pn uint64) bool {
-	for _, r := range p.AckRanges {
-		if pn >= r[0] && pn <= r[1] {
 			return true
 		}
 	}
