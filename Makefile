@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt fixture-check
+.PHONY: all build test race lint fmt fixture-check experiments
 
 all: build lint test
 
@@ -38,3 +38,10 @@ fixture-check:
 
 fmt:
 	gofmt -w .
+
+# Regenerates experiments_output.txt, the output EXPERIMENTS.md quotes.
+# spdysim's stdout depends only on its inputs (wall-clock lines go to
+# stderr), so CI diffs the committed file against a fresh run.
+experiments:
+	$(GO) run ./cmd/spdysim -exp all -runs 3 > experiments_output.txt.tmp
+	mv experiments_output.txt.tmp experiments_output.txt

@@ -256,11 +256,13 @@ func main() {
 		start := time.Now()
 		rep := s.Run(h)
 		fmt.Println(rep.String())
-		fmt.Printf("(%s completed in %v)\n\n", s.ID, time.Since(start).Round(time.Millisecond))
+		// Wall-clock lines go to stderr so stdout depends only on the
+		// inputs (experiments_output.txt is regenerated and diffed).
+		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", s.ID, time.Since(start).Round(time.Millisecond))
 	}
 	cs := runner.CacheStats()
 	ss := runner.StreamCacheStats()
-	fmt.Printf("total wall clock: %v over %d experiment(s), %d worker(s)\n",
+	fmt.Fprintf(os.Stderr, "total wall clock: %v over %d experiment(s), %d worker(s)\n",
 		time.Since(wall).Round(time.Millisecond), len(specs), runner.Parallelism())
 	fmt.Printf("sweep cache: %d unique condition(s) simulated, %d replayed from cache (%.0f%% hit rate)\n",
 		cs.Misses, cs.Hits, 100*cs.HitRate())

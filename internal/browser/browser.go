@@ -514,7 +514,6 @@ type spdyHandle struct {
 	groupIdx    int                // valid when the browser runs late-binding
 	oracle      *spdy.SizeOracle
 	established bool
-	streamSeq   uint32
 	backlog     []*pendingReq
 }
 
@@ -574,15 +573,8 @@ func (b *Browser) openSession(i int) *spdyHandle {
 func (b *Browser) sendSPDY(s *spdyHandle, req *pendingReq) {
 	req.or.Requested = b.loop.Now()
 	req.or.ConnID = s.id
-	s.streamSeq += 2
 	prio := spdy.PriorityForType(string(req.obj.Kind))
-	size := s.oracle.FrameSize(spdy.SynStream{
-		StreamID: s.streamSeq + 1,
-		Priority: prio,
-		Fin:      true,
-		Headers: spdy.RequestHeaders("GET", "http", req.obj.Domain, req.obj.Path,
-			"Mozilla/5.0 (Windows NT 6.1) Chrome/23.0"),
-	})
+	size := s.oracle.RequestSize("GET", "http", req.obj.Domain, req.obj.Path, userAgent)
 	or := req.or
 	onDone := req.onDone
 	hooks := proxy.ResponseHooks{
@@ -613,7 +605,6 @@ type h2Handle struct {
 	reqSizer    *h2.HeaderSizer  // HPACK request pricing
 	reqOracle   *spdy.SizeOracle // equal-framing mode: SPDY-identical requests
 	established bool
-	streamSeq   uint32
 	backlog     []*pendingReq
 
 	// WINDOW_UPDATE bookkeeping: response bytes delivered client-side
@@ -676,14 +667,7 @@ func (b *Browser) sendH2(h *h2Handle, req *pendingReq) {
 	if h.reqOracle != nil {
 		// Equal-framing oracle mode: the request bytes must match SPDY's
 		// exactly, SYN_STREAM framing included.
-		h.streamSeq += 2
-		size = h.reqOracle.FrameSize(spdy.SynStream{
-			StreamID: h.streamSeq + 1,
-			Priority: prio,
-			Fin:      true,
-			Headers: spdy.RequestHeaders("GET", "http", req.obj.Domain, req.obj.Path,
-				userAgent),
-		})
+		size = h.reqOracle.RequestSize("GET", "http", req.obj.Domain, req.obj.Path, userAgent)
 	} else {
 		size = h.reqSizer.RequestSize("GET", "http", req.obj.Domain, req.obj.Path, userAgent)
 	}

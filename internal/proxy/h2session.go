@@ -46,10 +46,7 @@ func (f hpackFraming) DataOverhead() int { return h2.DataFrameOverhead }
 type spdyEqualFraming struct{ oracle *spdy.SizeOracle }
 
 func (f spdyEqualFraming) ReplyHeadSize(obj *webpage.Object) int {
-	return f.oracle.FrameSize(spdy.SynReply{
-		StreamID: uint32(obj.ID*2 + 1),
-		Headers:  spdy.ResponseHeaders("200 OK", contentType(obj.Kind), int64(obj.Size)),
-	})
+	return f.oracle.ReplySize("200 OK", contentType(obj.Kind), int64(obj.Size))
 }
 func (f spdyEqualFraming) DataOverhead() int { return spdy.DataFrameOverhead }
 

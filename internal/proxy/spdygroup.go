@@ -116,10 +116,7 @@ func (g *SPDYGroup) pump() {
 		if !task.started {
 			task.started = true
 			task.rec.SendStart = now
-			head := m.oracle.FrameSize(spdy.SynReply{
-				StreamID: uint32(task.obj.ID*2 + 1),
-				Headers:  spdy.ResponseHeaders("200 OK", contentType(task.obj.Kind), int64(task.obj.Size)),
-			})
+			head := m.oracle.ReplySize("200 OK", contentType(task.obj.Kind), int64(task.obj.Size))
 			hooks := task.hooks
 			m.clientAsm.Expect(head, func() {
 				if hooks.OnFirstByte != nil {

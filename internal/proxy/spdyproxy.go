@@ -79,10 +79,7 @@ func (s *SPDYSession) ExpectRequest(obj *webpage.Object, reqSize int, prio spdy.
 }
 
 func (s *SPDYSession) enqueue(obj *webpage.Object, rec *trace.ProxyRecord, prio spdy.Priority, hooks ResponseHooks) {
-	head := s.oracle.FrameSize(spdy.SynReply{
-		StreamID: uint32(obj.ID*2 + 1),
-		Headers:  spdy.ResponseHeaders("200 OK", contentType(obj.Kind), int64(obj.Size)),
-	})
+	head := s.oracle.ReplySize("200 OK", contentType(obj.Kind), int64(obj.Size))
 	s.queue.Push(prio, &respTask{
 		obj:       obj,
 		rec:       rec,

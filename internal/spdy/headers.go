@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -43,23 +44,26 @@ func (h Headers) sortedNames() []string {
 	return names
 }
 
-// marshalPlain serializes the uncompressed SPDY/3 name/value block:
-// a 32-bit pair count, then length-prefixed name and value per pair.
-func (h Headers) marshalPlain() []byte {
-	var buf bytes.Buffer
-	var u32 [4]byte
-	put := func(s string) {
-		binary.BigEndian.PutUint32(u32[:], uint32(len(s)))
-		buf.Write(u32[:])
-		buf.WriteString(s)
-	}
-	binary.BigEndian.PutUint32(u32[:], uint32(len(h)))
-	buf.Write(u32[:])
+// appendPlain appends the uncompressed SPDY/3 name/value block to b:
+// a 32-bit pair count, then length-prefixed name and value per pair, in
+// sorted name order.
+func (h Headers) appendPlain(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(h)))
 	for _, name := range h.sortedNames() {
-		put(name)
-		put(h[name])
+		b = appendPair(b, name, h[name])
 	}
-	return buf.Bytes()
+	return b
+}
+
+// appendString appends s with its 32-bit length prefix.
+func appendString(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+// appendPair appends one name/value pair of a plain block.
+func appendPair(b []byte, name, value string) []byte {
+	return appendString(appendString(b, name), value)
 }
 
 // errHeaderBlock reports malformed name/value blocks.
@@ -138,10 +142,11 @@ func newHeaderCompressor() *headerCompressor {
 // afterwards.
 func (c *headerCompressor) release() { compressorPool.Put(c) }
 
-// Compress returns the compressed encoding of h, flushed at a sync point
-// so the receiver can decode the block without further input.
-func (c *headerCompressor) Compress(h Headers) []byte {
-	plain := h.marshalPlain()
+// compressedLen compresses one plain block onto the session's stream,
+// flushed at a sync point so the receiver can decode it without further
+// input, and returns its compressed length. The block's bytes stay in
+// c.buf until the next call.
+func (c *headerCompressor) compressedLen(plain []byte) int {
 	c.buf.Reset()
 	if _, err := c.zw.Write(plain); err != nil {
 		panic("spdy: zlib write: " + err.Error())
@@ -149,7 +154,12 @@ func (c *headerCompressor) Compress(h Headers) []byte {
 	if err := c.zw.Flush(); err != nil {
 		panic("spdy: zlib flush: " + err.Error())
 	}
-	out := make([]byte, c.buf.Len())
+	return c.buf.Len()
+}
+
+// Compress returns the compressed encoding of h.
+func (c *headerCompressor) Compress(h Headers) []byte {
+	out := make([]byte, c.compressedLen(h.appendPlain(nil)))
 	copy(out, c.buf.Bytes())
 	return out
 }
@@ -203,20 +213,44 @@ func (d *headerDecompressor) Decompress(block []byte) (Headers, error) {
 	return h, nil
 }
 
+// The names and fixed values of the request and reply blocks. The map
+// builders below and SizeOracle's typed sizers (sizes.go) share them.
+const (
+	nameHost           = ":host"
+	nameMethod         = ":method"
+	namePath           = ":path"
+	nameScheme         = ":scheme"
+	nameStatus         = ":status"
+	nameVersion        = ":version"
+	nameAccept         = "accept"
+	nameAcceptEncoding = "accept-encoding"
+	nameAcceptLanguage = "accept-language"
+	nameContentLength  = "content-length"
+	nameContentType    = "content-type"
+	nameServer         = "server"
+	nameUserAgent      = "user-agent"
+
+	valueVersion        = "HTTP/1.1"
+	valueAccept         = "text/html,application/xhtml+xml,application/xml;q=0.9,*/*;q=0.8"
+	valueAcceptEncoding = "gzip,deflate,sdch"
+	valueAcceptLanguage = "en-US,en;q=0.8"
+	valueServer         = "spdier-origin/1.0"
+)
+
 // RequestHeaders builds the SPDY/3 pseudo-header set for a proxied GET.
 func RequestHeaders(method, scheme, host, path, userAgent string) Headers {
 	h := Headers{
-		":method":         method,
-		":scheme":         scheme,
-		":host":           host,
-		":path":           path,
-		":version":        "HTTP/1.1",
-		"accept":          "text/html,application/xhtml+xml,application/xml;q=0.9,*/*;q=0.8",
-		"accept-encoding": "gzip,deflate,sdch",
-		"accept-language": "en-US,en;q=0.8",
+		nameMethod:         method,
+		nameScheme:         scheme,
+		nameHost:           host,
+		namePath:           path,
+		nameVersion:        valueVersion,
+		nameAccept:         valueAccept,
+		nameAcceptEncoding: valueAcceptEncoding,
+		nameAcceptLanguage: valueAcceptLanguage,
 	}
 	if userAgent != "" {
-		h["user-agent"] = userAgent
+		h[nameUserAgent] = userAgent
 	}
 	return h
 }
@@ -224,10 +258,10 @@ func RequestHeaders(method, scheme, host, path, userAgent string) Headers {
 // ResponseHeaders builds the SPDY/3 pseudo-header set for a response.
 func ResponseHeaders(status string, contentType string, contentLength int64) Headers {
 	return Headers{
-		":status":        status,
-		":version":       "HTTP/1.1",
-		"content-type":   contentType,
-		"content-length": fmt.Sprintf("%d", contentLength),
-		"server":         "spdier-origin/1.0",
+		nameStatus:        status,
+		nameVersion:       valueVersion,
+		nameContentType:   contentType,
+		nameContentLength: strconv.FormatInt(contentLength, 10),
+		nameServer:        valueServer,
 	}
 }
